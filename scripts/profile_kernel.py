@@ -10,7 +10,7 @@ Usage::
 
     PYTHONPATH=src python scripts/profile_kernel.py
     PYTHONPATH=src python scripts/profile_kernel.py --pods 2000 --tenants 20
-    PYTHONPATH=src python scripts/profile_kernel.py --workers 2 --top 30
+    PYTHONPATH=src python scripts/profile_kernel.py --top 30
 
 ``--pods 10000 --tenants 100 --nodes 100`` reproduces the paper-scale
 Fig. 10 point (slow: a few minutes of wall clock on one core).
@@ -34,9 +34,6 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rate", type=float, default=200.0,
                         help="aggregate Pod submission rate (pods/s)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="parallel-backend worker count "
-                             "(default: REPRO_WORKERS / 0)")
     parser.add_argument("--top", type=int, default=20,
                         help="rows per hot-spot table (default 20)")
     parser.add_argument("--sort", choices=["both", "cumulative", "tottime"],
@@ -49,8 +46,7 @@ def main(argv=None):
         return run_vc_stress(
             num_pods=args.pods, num_tenants=args.tenants,
             submission_rate=args.rate, num_nodes=args.nodes,
-            seed=args.seed, timeout=3600.0, workers=args.workers,
-            keep_env=True)
+            seed=args.seed, timeout=3600.0, keep_env=True)
 
     profiler = cProfile.Profile()
     started = time.perf_counter()
@@ -68,10 +64,8 @@ def main(argv=None):
     print(f"  events dispatched : {stats['dispatched']}")
     print(f"  events/s (wall)   : {stats['dispatched'] / elapsed:,.0f}")
     for key in ("batches", "peak_heap", "pending", "wheel_scheduled",
-                "timers_cancelled", "orphans_skipped", "parallel_batches",
-                "workers"):
-        if key in stats:
-            print(f"  {key:<18}: {stats[key]}")
+                "timers_cancelled", "orphans_skipped"):
+        print(f"  {key:<18}: {stats[key]}")
     print()
 
     sorts = (["cumulative", "tottime"] if args.sort == "both"

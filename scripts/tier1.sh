@@ -8,7 +8,6 @@
 #         scripts/tier1.sh --durability-smoke [seed]
 #         scripts/tier1.sh --scenario-smoke [corpus-dir]
 #         scripts/tier1.sh --apf-smoke [seed]
-#         scripts/tier1.sh --parallel-smoke [seed]
 #         scripts/tier1.sh --lint
 #
 # Runs the tier1-marked tests (every test except the long soak runs)
@@ -50,15 +49,9 @@
 # both features on; and the apf-marked suite (admission, swap state
 # machine, Retry-After plumbing, fairness properties).
 #
-# --parallel-smoke runs the parallel-backend gate (DESIGN.md §16): the
-# chaos config serially and with 2 kernel workers, failing on any
-# store-event digest divergence; a 2-worker run under the vector-clock
-# race detector; and the parallel-marked suite (merge-barrier
-# determinism, timer-wheel ordering, digest-equality properties).
-#
 # --lint runs the determinism linter (repro.analysis) over src/ in
 # strict mode against the committed allowlist, then the whole-program
-# concurrency/protocol staticcheck (C001-C006) in strict mode, then
+# concurrency/protocol staticcheck (C001-C005) in strict mode, then
 # the lint- and staticcheck-marked CLI smoke tests.  Exit 0 means zero
 # non-allowlisted findings and no stale suppressions or allowlist
 # entries in either pack.
@@ -90,8 +83,10 @@ if [[ "${1:-}" == "--durability-smoke" ]]; then
         python -m repro.chaos --seed "$seed" --horizon 25 \
         --check-determinism --replicas-store 2
     echo "tier1: durability-marked benchmark suite" >&2
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-        python -m pytest -x -q -m durability
+    # The suite lives under benchmarks/ (outside testpaths), which
+    # imports benchmarks.conftest, hence the explicit path and ".".
+    PYTHONPATH="src:.${PYTHONPATH:+:$PYTHONPATH}" \
+        python -m pytest -x -q -m durability benchmarks/test_durability.py
     exit 0
 fi
 
@@ -132,22 +127,6 @@ if [[ "${1:-}" == "--apf-smoke" ]]; then
     echo "tier1: apf-marked suite" >&2
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
         python -m pytest -x -q -m apf
-    exit 0
-fi
-
-if [[ "${1:-}" == "--parallel-smoke" ]]; then
-    seed="${2:-0}"
-    echo "tier1: parallel smoke (seed=$seed), 2-worker digest equality" >&2
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-        python -m repro.chaos --seed "$seed" --horizon 25 \
-        --compare-workers 2
-    echo "tier1: parallel smoke (seed=$seed), race detector, 2 workers" >&2
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-        python -m repro.chaos --seed "$seed" --horizon 25 \
-        --workers 2 --detect-races
-    echo "tier1: parallel-marked suite" >&2
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-        python -m pytest -x -q -m parallel
     exit 0
 fi
 

@@ -111,11 +111,11 @@ RULES = {
         "C003", "module-level mutable state written from sim-process code",
         "A module-level dict/list/set/counter is mutated from code "
         "reachable by sim processes without a registered happens-before "
-        "carrier.  Under the parallel backend this is a data-race hazard "
-        "the vector-clock detector can only catch dynamically, "
-        "per-schedule — and it leaks state across Simulation instances "
-        "in one interpreter.  Own the state per-sim, or mark the "
-        "definition '# repro: hb-carrier[why]' if access is provably "
+        "carrier.  It leaks state across Simulation instances in one "
+        "interpreter (two same-seed sims minting different container "
+        "serials, say), which breaks run-to-run determinism.  Own the "
+        "state per-sim, or mark the definition "
+        "'# repro: hb-carrier[why]' if access is provably "
         "kernel-ordered."),
     "C004": Rule(
         "C004", "orphaned Timeout/Event (created and dropped)",
@@ -132,15 +132,6 @@ RULES = {
         "no fencing= argument, or a raw store put/delete/txn.  A deposed "
         "leader's in-flight writes would land after the new leader's "
         "fence barrier — the split-brain window fencing exists for."),
-    "C006": Rule(
-        "C006", "process spawned in an affinity scope without affinity",
-        "sim.process()/spawn() is called without affinity= from code "
-        "that has a tenant in hand.  The spawned process (and every "
-        "event it creates) falls off its tenant's partition: harmless "
-        "for results — the merge barrier fixes dispatch order — but it "
-        "round-robins tenant work across workers, defeating the "
-        "affinity partitioning the parallel backend exists for.  Pass "
-        "affinity=<tenant> (an explicit tag always wins)."),
 }
 
 # Rule packs: prefix -> (name, checker) shown by `rules` and used to

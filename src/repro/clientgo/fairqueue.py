@@ -13,10 +13,10 @@ When ``fair=False`` the queue degrades to one shared FIFO — the
 configuration used for the Fig. 11(b) comparison.
 """
 
+import zlib
 from collections import defaultdict, deque
 
 from repro.simkernel.events import Event
-from repro.simkernel.parallel import shard_hash
 from repro.telemetry import telemetry_of
 
 from .workqueue import ShutDown
@@ -295,9 +295,19 @@ class FairWorkQueue:
         }
 
 
-# shard_hash moved to repro.simkernel.parallel so the parallel backend's
-# partitioner and this queue's shard routing are literally the same
-# function; re-exported here for compatibility.
+def shard_hash(tenant):
+    """Stable (process-independent) tenant hash for shard routing.
+
+    Requires a ``str``: ``str()`` of an arbitrary object falls back to
+    the default repr — which embeds a memory address — so routing would
+    silently differ across processes (linter rule D006).  crc32 over the
+    tenant name's UTF-8 bytes is identical in every process.
+    """
+    if not isinstance(tenant, str):
+        raise TypeError(
+            f"shard_hash needs the tenant name as str, "
+            f"got {type(tenant).__name__}")
+    return zlib.crc32(tenant.encode("utf-8"))
 
 
 class ShardedFairWorkQueue:

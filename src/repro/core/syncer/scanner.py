@@ -43,8 +43,7 @@ class PeriodicScanner:
         if tenant in self._processes:
             return
         self._processes[tenant] = self.syncer.spawn(
-            self._scan_loop(tenant), name=f"scanner-{tenant}",
-            affinity=tenant)
+            self._scan_loop(tenant), name=f"scanner-{tenant}")
 
     def stop_tenant(self, tenant):
         process = self._processes.pop(tenant, None)

@@ -290,8 +290,8 @@ class Syncer:
     def tenant_informer(self, tenant, plural):
         return self.tenants[tenant].informers.informer(plural)
 
-    def spawn(self, coroutine, name=None, affinity=None):
-        return self.sim.spawn(coroutine, name=name, affinity=affinity)
+    def spawn(self, coroutine, name=None):
+        return self.sim.spawn(coroutine, name=name)
 
     def metrics_inc(self, counter):
         self._events_counter.labels(syncer=self.name, event=counter).inc()
@@ -473,7 +473,7 @@ class Syncer:
             if tenant in self.tenants:
                 self.upward.add(tenant, (plural, key))
 
-        self.spawn(later(), name=f"uws-retry-{plural}", affinity=tenant)
+        self.spawn(later(), name=f"uws-retry-{plural}")
 
     # ------------------------------------------------------------------
     # Namespace mapping
@@ -554,7 +554,7 @@ class Syncer:
         for tenant in self.tenants:
             self.scanner.start_tenant(tenant)
         self.vnodes.start()
-        self._processes.append(self.spawn(  # repro: allow[C006] syncer-wide sampler, not tenant work
+        self._processes.append(self.spawn(
             self._memory_sampler(),
             name=f"{self.name}-mem-sampler"))
 

@@ -52,8 +52,7 @@ class VNodeManager:
                     del tenant_nodes[node_name]
                     self.syncer.spawn(
                         self._remove_vnode(tenant, node_name),
-                        name=f"vnode-remove-{tenant}-{node_name}",
-                        affinity=tenant)
+                        name=f"vnode-remove-{tenant}-{node_name}")
 
     def bound_pods(self, tenant, node_name):
         return set(self._bindings.get(tenant, {}).get(node_name, ()))

@@ -16,7 +16,6 @@ from .errors import (
 )
 from .events import Condition, Event, Timeout, all_of, any_of
 from .loop import Simulation
-from .metrics import Histogram, MetricsRegistry, SampleSeries
 from .process import Process
 from .resources import Channel, ChannelClosed, Lock, Semaphore
 
@@ -28,13 +27,10 @@ __all__ = [
     "CpuAccount",
     "Event",
     "EventAlreadyTriggered",
-    "Histogram",
     "Interrupt",
     "Lock",
     "MemoryAccount",
-    "MetricsRegistry",
     "Process",
-    "SampleSeries",
     "Semaphore",
     "SimError",
     "Simulation",

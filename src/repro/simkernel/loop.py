@@ -8,22 +8,15 @@ and far faster than wall-clock execution.
 """
 
 import heapq
-import os
 import random
 
 from .accounting import Accounting
 from .errors import SimulationDeadlock, StopSimulation
 from .events import Event, Timeout, all_of, any_of
-from .metrics import MetricsRegistry
 from .process import Process
 from .timerwheel import MIN_WHEEL_DELAY, TimerWheel
 
 _CALLBACK = object()
-
-# REPRO_KERNEL_LEGACY=1 disables the timer wheel (and, in repro.objects,
-# the serde codegen): the ablation baseline the kernel-speedup benchmark
-# measures against.  Results are byte-identical either way.
-_LEGACY_KERNEL = bool(os.environ.get("REPRO_KERNEL_LEGACY"))
 
 
 class Simulation:
@@ -34,33 +27,21 @@ class Simulation:
     seed:
         Seed for the simulation-owned random generator.  Every run with the
         same seed and workload produces identical timelines.
-    workers:
-        Parallel-backend worker count (``repro.simkernel.parallel``).
-        ``None`` reads ``REPRO_WORKERS``; 0 means serial.  Any value
-        produces byte-identical results — the merge barrier fixes the
-        global dispatch order.
     """
 
-    def __init__(self, seed=0, perturb_swap=None, workers=None):
+    def __init__(self, seed=0, perturb_swap=None):
         self._now = 0.0
         self._heap = []
         self._seq = 0
         self._active_process = None
         self.rng = random.Random(seed)
         self._process_count = 0
-        if workers is None:
-            workers = int(os.environ.get("REPRO_WORKERS", "0") or 0)
-        if workers < 0:
-            raise ValueError(f"negative worker count: {workers}")
-        self.workers = workers
-        self._executor = None
         # Far-future timers are staged in a hierarchical wheel instead of
         # the heap; `_wheel_next` caches the earliest bucket boundary so
         # the hot loop pays one float compare per pop.
-        self._wheel = None if _LEGACY_KERNEL else TimerWheel()
+        self._wheel = TimerWheel()
         self._wheel_next = None
         self._batches = 0
-        self._parallel_batches = 0
         self._orphans_skipped = 0
         self._peak_heap = 0
         # Analysis hooks (repro.analysis): a RaceDetector stamps events
@@ -73,7 +54,6 @@ class Simulation:
         # bisector has a real divergence to localize.  Never set outside
         # tests/diagnostics.
         self._perturb_swap = perturb_swap
-        self.metrics = MetricsRegistry(self)
         self.accounting = Accounting(self)
         # Unified telemetry hub (repro.telemetry imports nothing from
         # repro.*, so this is cycle-free).
@@ -101,9 +81,9 @@ class Simulation:
         if self.race_detector is not None:
             self.race_detector.stamp_event(event)
         self._seq += 1
-        wheel = self._wheel
-        if wheel is not None and delay >= MIN_WHEEL_DELAY:
-            start = wheel.add(self._now + delay, self._seq, event, self._now)
+        if delay >= MIN_WHEEL_DELAY:
+            start = self._wheel.add(self._now + delay, self._seq, event,
+                                    self._now)
             if self._wheel_next is None or start < self._wheel_next:
                 self._wheel_next = start
             return
@@ -117,7 +97,15 @@ class Simulation:
         if self.race_detector is not None:
             self.race_detector.stamp_callback(fn)
         self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, (_CALLBACK, fn)))
+        self._push((self._now + delay, self._seq, (_CALLBACK, fn)))
+
+    def _push(self, entry):
+        """Push a heap entry, keeping ``_peak_heap`` (``_schedule`` inlines
+        this on the hot path)."""
+        heap = self._heap
+        heapq.heappush(heap, entry)
+        if len(heap) > self._peak_heap:
+            self._peak_heap = len(heap)
 
     # ------------------------------------------------------------------
     # Event factories
@@ -139,15 +127,10 @@ class Simulation:
         """Event succeeding when all of ``events`` succeed."""
         return all_of(self, events)
 
-    def process(self, generator, name=None, affinity=None):
-        """Start a new process from ``generator`` and return it.
-
-        ``affinity`` tags the process (and, transitively, every event it
-        creates) with a tenant/shard key for the parallel backend's
-        partitioner; it has no effect on scheduling order.
-        """
+    def process(self, generator, name=None):
+        """Start a new process from ``generator`` and return it."""
         self._process_count += 1
-        return Process(self, generator, name=name, affinity=affinity)
+        return Process(self, generator, name=name)
 
     # Alias that reads better at call sites spawning background work.
     spawn = process
@@ -207,11 +190,7 @@ class Simulation:
                     batch = [(when, seq, item)]
                     while heap and heap[0][0] == when:
                         batch.append(heapq.heappop(heap))
-                    self._dispatched += len(batch) - 1
-                    if self.workers:
-                        self._run_parallel_batch(batch)
-                    else:
-                        self._run_serial_batch(batch)
+                    self._run_batch(batch)
                 else:
                     self._dispatch_ready(item)
         except StopSimulation as stop:
@@ -251,8 +230,13 @@ class Simulation:
         if len(heap) > self._peak_heap:
             self._peak_heap = len(heap)
 
-    def _run_serial_batch(self, batch):
-        """Dispatch a same-timestamp batch in seq order on this thread."""
+    def _run_batch(self, batch):
+        """Dispatch a same-timestamp batch in seq order.
+
+        The caller has counted the head entry; the rest are counted here
+        up to the one whose dispatch raised, so an entry that an abort
+        re-pushes is counted once, when it is popped again.
+        """
         index = 0
         try:
             for index in range(len(batch)):
@@ -261,22 +245,10 @@ class Simulation:
             # Leave exactly the state a pop-one-at-a-time loop would
             # have: undispatched items back in the heap, original keys.
             for entry in batch[index + 1:]:
-                heapq.heappush(self._heap, entry)
+                self._push(entry)
             raise
-
-    def _run_parallel_batch(self, batch):
-        """Dispatch a batch on the worker pool behind the merge barrier."""
-        executor = self._executor
-        if executor is None:
-            from .parallel import ParallelExecutor
-
-            executor = self._executor = ParallelExecutor(self, self.workers)
-        self._parallel_batches += 1
-        undone, exc = executor.run_batch(batch, self._dispatch_ready)
-        if exc is not None:
-            for entry in undone:
-                heapq.heappush(self._heap, entry)
-            raise exc
+        finally:
+            self._dispatched += index
 
     def _dispatch_ready(self, item):
         """Dispatch one popped item, skipping orphaned events.
@@ -338,28 +310,18 @@ class Simulation:
     def kernel_stats(self):
         """Counters describing how the kernel executed (perf tooling)."""
         wheel = self._wheel
-        # `is not None`, not truthiness: TimerWheel defines __len__, so a
-        # drained wheel is falsy and would zero these counters.
-        present = wheel is not None
         return {
             "dispatched": self._dispatched,
             "batches": self._batches,
             "peak_heap": self._peak_heap,
-            "pending": len(self._heap) + (len(wheel) if present else 0),
-            "wheel_scheduled": wheel.staged if present else 0,
-            "timers_cancelled": wheel.cancelled if present else 0,
+            "pending": len(self._heap) + len(wheel),
+            "wheel_scheduled": wheel.staged,
+            "timers_cancelled": wheel.cancelled,
             "orphans_skipped": self._orphans_skipped,
-            "parallel_batches": self._parallel_batches,
-            "workers": self.workers,
+            # The kernel is serial; perfbench still reads this key.
+            "workers": 0,
         }
 
-    def close(self):
-        """Shut down the parallel worker pool, if one was started."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
     def __repr__(self):
-        wheel = self._wheel
-        pending = len(self._heap) + (len(wheel) if wheel is not None else 0)
+        pending = len(self._heap) + len(self._wheel)
         return f"<Simulation now={self._now:.6f} pending={pending}>"

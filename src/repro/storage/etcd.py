@@ -15,7 +15,6 @@ deep-copies values in and out, like a real store serializes to bytes, so
 callers can never alias stored state.
 """
 
-import os
 from bisect import bisect_left
 
 from repro.objects.base import fast_deep_copy
@@ -33,12 +32,6 @@ from .errors import (
 
 EVENT_PUT = "PUT"
 EVENT_DELETE = "DELETE"
-
-# REPRO_KERNEL_LEGACY=1 restores the pre-optimization set-based prefix
-# index (a full sort on every list/count) alongside the kernel's legacy
-# paths, so the speedup benchmark ablates against the seed's behavior.
-# Results are byte-identical either way.
-_LEGACY_INDEX = bool(os.environ.get("REPRO_KERNEL_LEGACY"))
 
 
 class StoredValue:
@@ -715,28 +708,3 @@ class EtcdStore:
             "wal": self.wal.stats() if self.wal is not None else None,
         }
 
-
-if _LEGACY_INDEX:
-    # The seed's index: buckets are plain sets, every prefix read pays a
-    # filter + full sort, and count_prefix materializes the sorted list
-    # just to take its length.  Kept verbatim as the ablation baseline.
-
-    def _legacy_index_add(self, key):
-        self._buckets.setdefault(self._bucket_of(key), set()).add(key)
-
-    def _legacy_index_remove(self, key):
-        bucket = self._buckets.get(self._bucket_of(key))
-        if bucket is not None:
-            bucket.discard(key)
-
-    def _legacy_keys_under(self, prefix):
-        keys = self._buckets.get(self._bucket_of(prefix), ())
-        return sorted(k for k in keys if k.startswith(prefix))
-
-    def _legacy_count_prefix(self, prefix):
-        return len(self._legacy_keys_under(prefix))
-
-    EtcdStore._index_add = _legacy_index_add
-    EtcdStore._index_remove = _legacy_index_remove
-    EtcdStore._keys_under = _legacy_keys_under
-    EtcdStore.count_prefix = _legacy_count_prefix

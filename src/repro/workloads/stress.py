@@ -63,12 +63,11 @@ class StressResult:
 
 
 def _build_env(num_tenants, dws_workers, uws_workers, fair, seed,
-               num_nodes, scan_interval, config=None, workers=None):
+               num_nodes, scan_interval, config=None):
     env = VirtualClusterEnv(
         seed=seed, config=config, num_virtual_nodes=num_nodes,
         fair_queuing=fair, dws_workers=dws_workers,
-        uws_workers=uws_workers, scan_interval=scan_interval,
-        workers=workers)
+        uws_workers=uws_workers, scan_interval=scan_interval)
     env.bootstrap()
     return env
 
@@ -76,16 +75,10 @@ def _build_env(num_tenants, dws_workers, uws_workers, fair, seed,
 def run_vc_stress(num_pods, num_tenants, dws_workers=20, uws_workers=100,
                   fair=True, submission_rate=1000.0, num_nodes=100,
                   seed=0, timeout=600.0, scan_interval=60.0, env=None,
-                  keep_env=False, config=None, workers=None):
-    """The VirtualCluster stress run (Figs. 7-10 VC series).
-
-    ``workers`` selects the parallel execution backend
-    (``Simulation(workers=N)``); results are byte-identical for any
-    value — see DESIGN.md §16.
-    """
+                  keep_env=False, config=None):
+    """The VirtualCluster stress run (Figs. 7-10 VC series)."""
     env = env or _build_env(num_tenants, dws_workers, uws_workers, fair,
-                            seed, num_nodes, scan_interval, config=config,
-                            workers=workers)
+                            seed, num_nodes, scan_interval, config=config)
 
     tenants = []
 

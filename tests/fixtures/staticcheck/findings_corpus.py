@@ -48,10 +48,6 @@ class CorpusWorker:
         orphan = self.sim.timeout(5.0)
         yield self.sim.timeout(0.1)
 
-    def spawn_for(self, tenant):
-        yield self.sim.timeout(0.1)
-        self.sim.spawn(self.write_registry(tenant), name=f"w-{tenant}")
-
 
 class ControllerManager:
     def __init__(self, sim, client, store):

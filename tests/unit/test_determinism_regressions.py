@@ -164,31 +164,3 @@ class TestPerSimulationContainerSerials:
             except StopIteration as stop:
                 ids.append(stop.value.sandbox_id)
         assert ids[0] == ids[1] == "runc-sb-000001"
-
-
-class TestTenantAffinitySpawns:
-    """staticcheck C006: tenant-scoped processes spawned without
-    affinity= fall off the tenant's partition under the parallel
-    backend."""
-
-    def test_vnode_removal_spawn_carries_tenant_affinity(self):
-        from repro.core.syncer.vnode import VNodeManager
-
-        spawns = []
-
-        class _Telemetry:
-            def counter(self, *args, **kwargs):
-                return self
-
-            def labels(self, **kwargs):
-                return SimpleNamespace(inc=lambda *a, **k: None)
-
-        sim = Simulation(seed=3)
-        syncer = SimpleNamespace(
-            sim=sim, name="t1-syncer", _telemetry=_Telemetry(),
-            spawn=lambda coroutine, name=None, affinity=None: (
-                spawns.append((name, affinity)), coroutine.close()))
-        manager = VNodeManager(syncer)
-        manager.pod_bound("t1", "default/p", "node-a")
-        manager.pod_deleted("t1", "default/p")
-        assert spawns == [("vnode-remove-t1-node-a", "t1")]

@@ -1,15 +1,14 @@
-"""Unit tests for the kernel's execution machinery added for the
-parallel backend: the hierarchical timer wheel, the deterministic merge
-barrier, orphan-timer cancellation, and the kernel-correctness bugfix
-sweep (late-failing ``any_of`` losers, waiter-abandonment defusing, and
-the Event-wide undefused-failure check)."""
-
-import threading
+"""Unit tests for the simulation kernel's execution machinery: the
+hierarchical timer wheel, orphan-timer cancellation, the
+kernel-correctness bugfix sweep (late-failing ``any_of`` losers,
+waiter-abandonment defusing, the Event-wide undefused-failure check),
+dispatch accounting, and run-to-run reproducibility."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simkernel import Simulation
-from repro.simkernel.parallel import MergeBarrier, ParallelExecutor, shard_hash
 from repro.simkernel.timerwheel import GRANULARITY, MIN_WHEEL_DELAY, SPAN
 
 
@@ -237,186 +236,119 @@ class TestUndefusedFailures:
 
 
 # ----------------------------------------------------------------------
-# Merge barrier & partitioning
+# Dispatch accounting
 # ----------------------------------------------------------------------
 
 
-class TestMergeBarrier:
-    def test_turns_granted_in_global_seq_order(self):
-        barrier = MergeBarrier()
-        barrier.start((3, 5, 9))
-        order = []
+def _stop_run(stop_early):
+    """Five processes on 1 s timeouts; the first one succeeds ``stop``.
+    Runs to completion, first to ``stop`` if ``stop_early``."""
+    sim = Simulation()
+    stop = sim.event()
+    order = []
 
-        def worker(seq):
-            assert barrier.acquire_turn(seq)
-            order.append(seq)
-            barrier.release_turn()
+    def proc(index):
+        yield sim.timeout(1.0)
+        order.append(index)
+        if index == 0:
+            stop.succeed()
 
-        threads = [threading.Thread(target=worker, args=(seq,))
-                   for seq in (9, 5, 3)]  # deliberately reversed start
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert order == [3, 5, 9]
-
-    def test_fail_denies_later_turns(self):
-        barrier = MergeBarrier()
-        barrier.start((1, 2))
-        boom = RuntimeError("boom")
-        barrier.fail(1, boom)
-        assert barrier.acquire_turn(2) is False
-        assert barrier.failure == (1, boom)
-
-
-class TestPartitioning:
-    def test_affinity_routes_like_the_sharded_queue(self):
-        sim = Simulation()
-        executor = ParallelExecutor(sim, workers=4)
-        try:
-            class Item:
-                def __init__(self, affinity):
-                    self.affinity = affinity
-
-            entries = [(0.0, seq, Item(f"tenant-{seq % 3}"))
-                       for seq in range(12)]
-            parts = executor.partition(entries)
-            for part in parts:
-                for _when, seq, item in part:
-                    expected = shard_hash(item.affinity) % 4
-                    assert parts[expected] is part
-        finally:
-            executor.close()
-
-    def test_no_affinity_round_robins(self):
-        sim = Simulation()
-        executor = ParallelExecutor(sim, workers=2)
-        try:
-            class Item:
-                affinity = None
-
-            entries = [(0.0, seq, Item()) for seq in range(4)]
-            parts = executor.partition(entries)
-            assert [len(part) for part in parts] == [2, 2]
-        finally:
-            executor.close()
-
-
-class TestAffinityPropagation:
-    def test_process_affinity_inherited_by_its_events(self):
-        sim = Simulation()
-        seen = {}
-
-        def proc():
-            timer = sim.timeout(1)
-            seen["affinity"] = timer.affinity
-            yield timer
-
-        sim.process(proc(), affinity="tenant-a")
-        sim.run()
-        assert seen["affinity"] == "tenant-a"
-
-    def test_events_without_process_have_no_affinity(self):
-        sim = Simulation()
-        assert sim.timeout(1).affinity is None
-
-
-# ----------------------------------------------------------------------
-# Parallel execution: serial equivalence on the kernel itself
-# ----------------------------------------------------------------------
-
-
-def _traced_run(workers, seed=7):
-    """A same-timestamp-heavy workload; returns its dispatch trace."""
-    sim = Simulation(seed=seed, workers=workers)
-    trace = []
-
-    def worker(index, tenant):
-        for step in range(6):
-            delay = sim.rng.choice([0.0, 0.1, 0.25, 0.5, 1.0])
-            yield sim.timeout(delay)
-            trace.append((round(sim.now, 9), index, step))
-
-    for index in range(9):
-        sim.process(worker(index, f"tenant-{index % 3}"),
-                    affinity=f"tenant-{index % 3}")
+    for index in range(5):
+        sim.process(proc(index))
+    if stop_early:
+        sim.run(until=stop)
     sim.run()
-    stats = sim.kernel_stats()
-    sim.close()
-    return trace, stats
+    return order, sim.kernel_stats()
 
 
-class TestParallelEquivalence:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_trace_identical_to_serial(self, workers):
-        serial, _ = _traced_run(0)
-        parallel, stats = _traced_run(workers)
-        assert parallel == serial
-        assert stats["workers"] == workers
-        assert stats["parallel_batches"] > 0
+class TestDispatchAccounting:
+    def test_stop_mid_batch_does_not_double_count(self):
+        """Entries re-pushed when ``run(until=event)`` stops mid-batch
+        are counted once, when they are popped again."""
+        plain_order, plain = _stop_run(stop_early=False)
+        stopped_order, stopped = _stop_run(stop_early=True)
+        assert stopped_order == plain_order
+        assert plain["dispatched"] == 16
+        assert stopped["dispatched"] == plain["dispatched"]
 
     def test_batch_abort_leaves_serial_heap_state(self):
         """An undefused failure mid-batch re-pushes the untouched tail
-        with original keys, identically in serial and parallel mode."""
-
-        def run_once(workers):
-            sim = Simulation(workers=workers)
-            order = []
-            for index in range(6):
-                event = sim.event()
-                if index == 2:
-                    event.fail(RuntimeError("boom"))
-                else:
-                    event.succeed(index)
-                    event.add_callback(
-                        lambda e: order.append(e.value))
-            with pytest.raises(RuntimeError, match="boom"):
-                sim.run()
-            at_abort = list(order)
-            sim.run()  # resume: the re-pushed tail dispatches in order
-            sim.close()
-            return at_abort, order
-
-        assert run_once(2) == run_once(0) == ([0, 1], [0, 1, 3, 4, 5])
-
-    def test_run_until_event_stops_identically(self):
-        def run_once(workers):
-            sim = Simulation(workers=workers)
-            order = []
-
-            def maker(name):
-                def proc():
-                    yield sim.timeout(1.0)
-                    order.append(name)
-                    return name
-
-                return proc()
-
-            sim.process(maker("a"))
-            stopper = sim.process(maker("b"))
-            sim.process(maker("c"))
-            result = sim.run(until=stopper)
-            at_stop = list(order)
-            sim.run()
-            sim.close()
-            return result, at_stop, order
-
-        assert run_once(2) == run_once(0)
-
-    def test_worker_validation(self):
-        with pytest.raises(ValueError):
-            Simulation(workers=-1)
-
-    def test_env_var_selects_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
+        with original keys; every event is counted exactly once."""
         sim = Simulation()
-        assert sim.workers == 3
-        monkeypatch.setenv("REPRO_WORKERS", "")
-        assert Simulation().workers == 0
+        order = []
+        for index in range(6):
+            event = sim.event()
+            if index == 2:
+                event.fail(RuntimeError("boom"))
+            else:
+                event.succeed(index)
+                event.add_callback(lambda e: order.append(e.value))
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert order == [0, 1]
+        assert sim.kernel_stats()["dispatched"] == 3
+        sim.run()  # resume: the re-pushed tail dispatches in order
+        assert order == [0, 1, 3, 4, 5]
+        assert sim.kernel_stats()["dispatched"] == 6
+
+    def test_run_until_event_stops_mid_batch(self):
+        sim = Simulation()
+        order = []
+
+        def maker(name):
+            yield sim.timeout(1.0)
+            order.append(name)
+            return name
+
+        sim.process(maker("a"))
+        stopper = sim.process(maker("b"))
+        sim.process(maker("c"))
+        assert sim.run(until=stopper) == "b"
+        assert order == ["a", "b", "c"]
+        sim.run()
+        assert order == ["a", "b", "c"]
+
+    def test_callback_pushes_count_toward_peak_heap(self):
+        """Late subscribers are scheduled as bare callbacks; those heap
+        pushes must show in ``peak_heap`` like any other."""
+        sim = Simulation()
+        event = sim.event()
+        event.succeed()
+        sim.run()
+        for _ in range(10):
+            event.add_callback(lambda e: None)
+        assert len(sim._heap) == 10
+        assert sim.kernel_stats()["peak_heap"] == 10
+        sim.run()
+        assert sim.kernel_stats()["pending"] == 0
 
 
-class TestShardHashReExport:
-    def test_fairqueue_still_exports_shard_hash(self):
-        from repro.clientgo.fairqueue import shard_hash as exported
+# ----------------------------------------------------------------------
+# Reproducibility
+# ----------------------------------------------------------------------
 
-        assert exported is shard_hash
+DELAYS = [0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 17.0]
+
+
+def _kernel_trace(seed, num_procs, steps):
+    """Run a batching-heavy kernel workload; return its dispatch trace."""
+    sim = Simulation(seed=seed)
+    trace = []
+
+    def worker(index):
+        for step in range(steps):
+            delay = sim.rng.choice(DELAYS)
+            yield sim.timeout(delay)
+            trace.append((round(sim.now, 9), index, step))
+
+    for index in range(num_procs):
+        sim.process(worker(index))
+    sim.run()
+    return trace
+
+
+class TestKernelTraceEquality:
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_serial_kernel_is_reproducible(self, seed):
+        assert _kernel_trace(seed, 6, 5) == _kernel_trace(seed, 6, 5)

@@ -214,56 +214,15 @@ class TestC005UnfencedWrites:
         """) == []
 
 
-class TestC006AffinityDrop:
-    def test_spawn_with_tenant_param_flagged(self, tmp_path):
-        assert codes(tmp_path, """
-            def proc(sim, tenant):
-                yield sim.timeout(1)
-                sim.spawn(proc(sim, tenant), name="again")
-        """) == ["C006"]
-
-    def test_spawn_with_affinity_clean(self, tmp_path):
-        assert codes(tmp_path, """
-            def proc(sim, tenant):
-                yield sim.timeout(1)
-                sim.spawn(proc(sim, tenant), name="again",
-                          affinity=tenant)
-        """) == []
-
-    def test_tenant_bound_after_spawn_clean(self, tmp_path):
-        # Regression: cluster-wide workers spawned before a later
-        # `for tenant in ...` loop are not tenant-scoped.
-        assert codes(tmp_path, """
-            def start(sim, tenants):
-                yield sim.timeout(1)
-                sim.spawn(worker(sim), name="shard-worker")
-                for tenant in tenants:
-                    pass
-
-            def worker(sim):
-                yield sim.timeout(1)
-        """) == []
-
-    def test_affinity_forwarding_wrapper_clean(self, tmp_path):
-        assert codes(tmp_path, """
-            class Syncer:
-                def __init__(self, sim):
-                    self.sim = sim
-
-                def spawn(self, coroutine, tenant=None, affinity=None):
-                    return self.sim.spawn(coroutine, affinity=affinity)
-        """) == []
-
-
 class TestSuppressionsAndStrict:
     def test_inline_allow_suppresses(self, tmp_path):
         result = check_source(tmp_path, """
-            def proc(sim, tenant):
-                yield sim.timeout(1)
-                sim.spawn(proc(sim, tenant), name="x")  # repro: allow[C006] intentionally unpinned
+            def proc(sim):
+                sim.timeout(5.0)  # repro: allow[C004] intentionally dropped
+                yield sim.timeout(0.1)
         """)
         assert result.active == []
-        assert [f.code for f in result.suppressed] == ["C006"]
+        assert [f.code for f in result.suppressed] == ["C004"]
 
     def test_strict_flags_stale_c_suppression(self, tmp_path):
         result = check_source(tmp_path, """
@@ -286,14 +245,14 @@ class TestSuppressionsAndStrict:
 
     def test_allowlist_entry_matches_and_strict_prunes_stale(
             self, tmp_path):
-        allowlist = [("pkg/mod.py", "C006", "scoped-elsewhere"),
+        allowlist = [("pkg/mod.py", "C004", "dropped-elsewhere"),
                      ("pkg/gone.py", "C001", "obsolete")]
         result = check_source(tmp_path, """
-            def proc(sim, tenant):
-                yield sim.timeout(1)
-                sim.spawn(proc(sim, tenant), name="x")
+            def proc(sim):
+                sim.timeout(5.0)
+                yield sim.timeout(0.1)
         """, allowlist=allowlist, strict=True)
-        assert [f.code for f in result.allowlisted] == ["C006"]
+        assert [f.code for f in result.allowlisted] == ["C004"]
         assert [f.code for f in result.stale] == ["C000"]
         assert "gone.py" in result.stale[0].message
 
@@ -312,7 +271,7 @@ class TestGoldenCorpus:
         result = check_paths(
             ["tests/fixtures/staticcheck/findings_corpus.py"])
         assert {f.code for f in result.active} == {
-            "C001", "C002", "C003", "C004", "C005", "C006"}
+            "C001", "C002", "C003", "C004", "C005"}
 
 
 @pytest.mark.staticcheck
@@ -359,7 +318,7 @@ class TestCli:
         payload = json.loads(out)
         assert payload["ok"] is False
         assert {f["code"] for f in payload["findings"]} == {
-            "C001", "C002", "C003", "C004", "C005", "C006"}
+            "C001", "C002", "C003", "C004", "C005"}
 
     def test_sarif_format_is_valid_sarif_2_1(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
@@ -371,15 +330,14 @@ class TestCli:
         assert payload["version"] == "2.1.0"
         run = payload["runs"][0]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"C001", "C002", "C003", "C004", "C005", "C006"} <= \
-            rule_ids
+        assert {"C001", "C002", "C003", "C004", "C005"} <= rule_ids
         assert all(r["ruleId"].startswith("C") for r in run["results"])
 
     def test_rules_subcommand_lists_both_packs(self, capsys):
         code, out = self._run(["rules"], capsys)
         assert code == 0
         assert "D-pack" in out and "C-pack" in out
-        for rule in ("D001", "D006", "C001", "C006"):
+        for rule in ("D001", "D006", "C001", "C005"):
             assert rule in out
 
     def test_missing_path_is_usage_error(self, capsys):
@@ -391,13 +349,13 @@ class TestCli:
 class TestFormatters:
     def test_json_includes_suppressed_bucket(self, tmp_path):
         result = check_source(tmp_path, """
-            def proc(sim, tenant):
-                yield sim.timeout(1)
-                sim.spawn(proc(sim, tenant), name="x")  # repro: allow[C006] pinned later
+            def proc(sim):
+                sim.timeout(5.0)  # repro: allow[C004] cancelled elsewhere
+                yield sim.timeout(0.1)
         """)
         payload = json.loads(format_json(result))
         assert payload["findings"] == []
-        assert [f["code"] for f in payload["suppressed"]] == ["C006"]
+        assert [f["code"] for f in payload["suppressed"]] == ["C004"]
 
     def test_sarif_lines_are_one_indexed(self, tmp_path):
         result = check_source(tmp_path, """
