@@ -32,7 +32,7 @@ def test_tenant_weight_latency_shares(benchmark):
                 for tenant, prefix in ((heavy, "h"), (light, "l"))]
         env.run_coroutine(generator.run_all(jobs))
         env.run_until(
-            lambda: len(env.syncer.trace_store.completed()) >= 2 * burst,
+            lambda: env.syncer.trace_store.completed_count >= 2 * burst,
             timeout=1800, poll=0.5)
         means = env.syncer.trace_store.mean_creation_time_by_tenant()
         return means[heavy.key], means[light.key]

@@ -60,7 +60,7 @@ class Client:
         while True:
             yield from self._bucket.acquire()
             if self.cpu_account is not None:
-                self.cpu_account.charge(0.00005, activity="marshal")
+                self.cpu_account.charge(0.00005)
             try:
                 if self.fault_injector is not None:
                     self.fault_injector.check()

@@ -114,7 +114,7 @@ class SharedInformer:
 
     def _charge(self):
         if self._cpu_account is not None and self._handler_cost:
-            self._cpu_account.charge(self._handler_cost, activity="informer")
+            self._cpu_account.charge(self._handler_cost)
 
     def _fanout(self, kind, old, new):
         for handlers in self._handlers:

@@ -37,7 +37,6 @@ class SchedulerLatency:
     service_time: float = 0.0018
     service_jitter: float = 0.0003     # uniform +/- jitter
     binding_write: float = 0.0008
-    queue_poll_idle: float = 0.002
 
 
 @dataclass
@@ -96,13 +95,6 @@ class SyncerLatency:
     # Tenant control-plane durability: etcd snapshot cadence used by the
     # tenant operator for crash/restore (DESIGN.md §10.3).
     snapshot_interval: float = 15.0
-    # --- Telemetry (DESIGN.md §11) ---------------------------------------
-    # Max live PodTrace objects in the syncer's TraceStore; completed
-    # traces beyond it are folded into compact records and evicted, so
-    # chaos soaks don't leak memory while aggregates stay exact.  Set
-    # above every paper experiment's pod count so full-fidelity traces
-    # survive a whole benchmark run.
-    trace_retention_cap: int = 50_000
 
 
 @dataclass

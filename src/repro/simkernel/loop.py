@@ -10,7 +10,6 @@ and far faster than wall-clock execution.
 import heapq
 import random
 
-from .accounting import Accounting
 from .errors import SimulationDeadlock, StopSimulation
 from .events import Event, Timeout, all_of, any_of
 from .process import Process
@@ -54,7 +53,6 @@ class Simulation:
         # bisector has a real divergence to localize.  Never set outside
         # tests/diagnostics.
         self._perturb_swap = perturb_swap
-        self.accounting = Accounting(self)
         # Unified telemetry hub (repro.telemetry imports nothing from
         # repro.*, so this is cycle-free).
         from repro.telemetry import Telemetry

@@ -1,8 +1,10 @@
 """Cross-component span tracing.
 
-Generalizes the Pod-only ``PodTrace`` to arbitrary operations: an
-apiserver request, an etcd transaction, a syncer DWS/UWS item, a
-scheduler bind, a kubelet pod start.  Each :class:`Span` records its
+Times arbitrary operations: an apiserver request, an etcd transaction,
+a syncer DWS/UWS item, a scheduler bind, a kubelet pod start.  The
+Fig. 8 / Table I Pod phases stay in ``core/syncer/tracing.py``: spans
+are no-ops when telemetry is disabled, while run termination waits on
+the trace store's completed count.  Each :class:`Span` records its
 operation name, tenant attribution, start/end in simulated time, and a
 link to its parent span.
 

@@ -29,7 +29,7 @@ def weighted_run():
     ]
     env.run_coroutine(generator.run_all(jobs))
     env.run_until(
-        lambda: len(env.syncer.trace_store.completed()) >= 1000,
+        lambda: env.syncer.trace_store.completed_count >= 1000,
         timeout=600, poll=0.5)
     return env, heavy, light
 
@@ -55,4 +55,5 @@ class TestTenantWeights:
 
     def test_all_pods_complete(self, weighted_run):
         env, _heavy, _light = weighted_run
-        assert len(env.syncer.trace_store.completed()) == 1000
+        assert env.syncer.trace_store.completed_count == 1000
+        assert env.syncer.counters.get("worker_crashes", 0) == 0

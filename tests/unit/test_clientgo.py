@@ -5,7 +5,7 @@ import pytest
 from repro.apiserver import ADMIN, APIServer, TooManyRequests
 from repro.clientgo import Client, InformerFactory, SharedInformer
 from repro.objects import make_namespace, make_pod
-from repro.simkernel import Simulation
+from repro.simkernel import CpuAccount, Simulation
 
 
 @pytest.fixture
@@ -73,7 +73,7 @@ class TestClient:
             run(sim, client.get("pods", "missing", namespace="default"))
 
     def test_cpu_account_charged(self, sim, api):
-        account = sim.accounting.cpu_account("syncer-test")
+        account = CpuAccount()
         charged = Client(sim, api, ADMIN, cpu_account=account,
                          user_agent="charged")
         bootstrap(sim, charged)

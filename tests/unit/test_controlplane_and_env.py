@@ -88,6 +88,23 @@ class TestEnvHelpers:
         assert env_a.sim is env_b.sim
         assert env_a.super_cluster.api is not env_b.super_cluster.api
 
+    def test_syncer_accounts_distinct_across_clusters(self):
+        # Both HA groups name a replica ``syncer-0``; their Fig. 10 CPU
+        # and memory accounts must still be their own.
+        sim = Simulation()
+        sc0 = VirtualClusterEnv(sim=sim, name="sc0", syncer_replicas=2)
+        sc1 = VirtualClusterEnv(sim=sim, name="sc1", syncer_replicas=2)
+        first = sc0.syncer_ha.replicas[0]
+        second = sc1.syncer_ha.replicas[0]
+        assert first.name == second.name == "syncer-0"
+        assert first.cpu is not second.cpu
+        assert first.mem is not second.mem
+        first.cpu.charge(0.5)
+        first.mem.register_meter("probe", lambda: 1024)
+        first.mem.snapshot()
+        assert second.cpu.seconds == 0
+        assert second.mem.snapshot() == 0
+
 
 class TestSwapStateUnit:
     def test_ensure_awake_noop_when_not_swapped(self):

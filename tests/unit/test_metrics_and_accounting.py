@@ -9,42 +9,33 @@ from repro.metrics import (
     format_table,
     summarize,
 )
-from repro.simkernel import Simulation
+from repro.simkernel import CpuAccount, MemoryAccount
 
 
 class TestAccounting:
-    def test_cpu_charges_accumulate_by_activity(self):
-        sim = Simulation()
-        account = sim.accounting.cpu_account("worker")
-        account.charge(0.5, activity="reconcile")
-        account.charge(0.25, activity="reconcile")
-        account.charge(1.0, activity="scan")
+    def test_cpu_charges_accumulate(self):
+        account = CpuAccount()
+        account.charge(0.5)
+        account.charge(0.25)
+        account.charge(1.0)
         assert account.seconds == pytest.approx(1.75)
-        assert account.by_activity["reconcile"] == pytest.approx(0.75)
 
     def test_negative_charge_rejected(self):
-        sim = Simulation()
         with pytest.raises(ValueError):
-            sim.accounting.cpu_account("w").charge(-1)
+            CpuAccount().charge(-1)
 
     def test_memory_meters_summed_and_peak_tracked(self):
-        sim = Simulation()
-        account = sim.accounting.memory_account("proc")
+        account = MemoryAccount()
         state = {"a": 100, "b": 50}
         account.register_meter("a", lambda: state["a"])
         account.register_meter("b", lambda: state["b"])
-        assert account.snapshot(0.0) == 150
+        assert account.snapshot() == 150
         state["a"] = 400
-        assert account.snapshot(1.0) == 450
+        assert account.snapshot() == 450
         state["a"] = 10
-        account.snapshot(2.0)
+        account.snapshot()
         assert account.peak == 450
         assert account.current == 60
-
-    def test_accounts_are_singletons_per_name(self):
-        sim = Simulation()
-        assert sim.accounting.cpu_account("x") is \
-            sim.accounting.cpu_account("x")
 
 
 class TestReporting:
