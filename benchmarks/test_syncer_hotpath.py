@@ -1,13 +1,15 @@
-"""Syncer hot-path benchmark: indexes + batching + sharding vs. baseline.
+"""Syncer hot-path benchmark: batching + sharding vs. baseline.
 
 Runs the Pod-provision stress twice with an over-provisioned super
 scheduler (so the *syncer* — not the sequential scheduler — is the
 pipeline bottleneck, which is the regime DESIGN.md §9 targets):
 
 - **baseline**: the paper-faithful serialized syncer (one dispatch lock
-  per direction, one apiserver write per object, linear cache scans);
-- **optimized**: secondary cache indexes + 4 dispatch shards + downward
-  writes batched into 8-op transactions.
+  per direction, one apiserver write per object);
+- **optimized**: 4 dispatch shards + downward writes batched into 8-op
+  transactions.
+
+Both arms read the cache's secondary indexes, which are always on.
 
 Asserts the optimized run provisions Pods at >= 2x the baseline
 throughput AND that both runs converge to byte-identical super-cluster
@@ -37,7 +39,6 @@ def _hotpath_config(optimized):
         scheduler=replace(base.scheduler, service_time=0.0002,
                           service_jitter=0.00002),
         syncer=replace(base.syncer,
-                       use_cache_indexes=optimized,
                        dispatch_shards=4 if optimized else 1,
                        downward_batch_max=8 if optimized else 1),
     )

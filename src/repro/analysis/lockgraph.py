@@ -215,6 +215,21 @@ class _FunctionScan(ast.NodeVisitor):
         for child in ast.iter_child_nodes(node):
             self._scan_expr(child)
 
+    def _bind(self, target, value):
+        """Alias a local name to the lock ``value`` names; a tuple target
+        binds element by element against a tuple value of equal length
+        (``name, lock = ("x", self._locks[i])``)."""
+        if isinstance(target, ast.Tuple):
+            if isinstance(value, ast.Tuple) \
+                    and len(target.elts) == len(value.elts):
+                for element, element_value in zip(target.elts, value.elts):
+                    self._bind(element, element_value)
+            return
+        if isinstance(target, ast.Name):
+            lock = self._lock_for(value)
+            if lock is not None:
+                self.aliases[target.id] = lock
+
     def _scan_stmts(self, stmts):
         for stmt in stmts:
             self._scan_stmt(stmt)
@@ -225,11 +240,8 @@ class _FunctionScan(ast.NodeVisitor):
             return
         if isinstance(stmt, ast.Assign):
             self._scan_expr(stmt.value)
-            lock = self._lock_for(stmt.value)
-            if lock is not None:
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        self.aliases[target.id] = lock
+            for target in stmt.targets:
+                self._bind(target, stmt.value)
             return
         if isinstance(stmt, ast.With):
             entered = []

@@ -38,12 +38,11 @@ from .engine import (
 
 
 def optimized_config(base=None, shards=2, batch_max=8):
-    """Hot-path optimizations on (DESIGN.md §9): indexes, sharded
-    dispatch, batched downward writes."""
+    """Hot-path optimizations on (DESIGN.md §9): sharded dispatch and
+    batched downward writes (cache indexes are always on)."""
     base = base or DEFAULT_CONFIG
     return base.with_overrides(syncer=replace(
-        base.syncer, use_cache_indexes=True, dispatch_shards=shards,
-        downward_batch_max=batch_max))
+        base.syncer, dispatch_shards=shards, downward_batch_max=batch_max))
 
 
 def run(seed, tenants=2, pods_per_tenant=3, horizon=40.0, nodes=3,

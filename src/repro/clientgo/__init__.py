@@ -8,7 +8,7 @@ from .cache import (
     estimate_object_bytes,
 )
 from .client import Client, Kubeconfig
-from .fairqueue import FairWorkQueue, ShardedFairWorkQueue, shard_hash
+from .fairqueue import FairWorkQueue, shard_hash
 from .informer import InformerFactory, SharedInformer
 from .leaderelection import LEASE_NAMESPACE, LeaderElector
 from .reflector import ADDED, DELETED, MODIFIED, Reflector
@@ -31,7 +31,6 @@ __all__ = [
     "ObjectCache",
     "RateLimitingQueue",
     "Reflector",
-    "ShardedFairWorkQueue",
     "SharedInformer",
     "ShutDown",
     "WorkQueue",

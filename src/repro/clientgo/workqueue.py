@@ -103,12 +103,12 @@ class WorkQueue:
         dead waiter would strand the item in the processing set forever.
         """
         while self._waiters:
-            waiter = self._waiters.popleft()
-            if waiter.event.callbacks:
-                return waiter
+            event = self._waiters.popleft()
+            if event.callbacks:
+                return event
         return None
 
-    def _dispatch(self, item, waiter):
+    def _dispatch(self, item, event):
         self._dirty.discard(item)
         self._processing.add(item)
         queued_at = self._enqueue_times.pop(item, self.sim.now)
@@ -116,8 +116,8 @@ class WorkQueue:
         self._wait_hist.observe(self.sim.now - queued_at)
         stamp = self._item_stamps.pop(item, None)
         if stamp is not None:
-            waiter.event._race_acc = stamp
-        waiter.succeed((item, queued_at))
+            event._race_acc = stamp
+        event.succeed((item, queued_at))
 
     def get(self):
         """Event resolving to ``(item, enqueued_at)``; marks it processing."""
@@ -127,9 +127,9 @@ class WorkQueue:
             return event
         if self._queue:
             item = self._queue.popleft()
-            self._dispatch(item, _ImmediateWaiter(event))
+            self._dispatch(item, event)
             return event
-        self._waiters.append(_DeferredWaiter(event))
+        self._waiters.append(event)
         return event
 
     def done(self, item):
@@ -149,9 +149,9 @@ class WorkQueue:
         """
         self._shutdown = True
         while self._waiters:
-            waiter = self._waiters.popleft()
-            if waiter.event.callbacks:
-                waiter.fail(ShutDown(self.name))
+            event = self._waiters.popleft()
+            if event.callbacks:
+                event.fail(ShutDown(self.name))
 
     def restart(self):
         """Re-open a shut-down queue (an HA standby promoted to active
@@ -165,25 +165,6 @@ class WorkQueue:
             "deduped": self.deduped_total,
             "processing": len(self._processing),
         }
-
-
-class _ImmediateWaiter:
-    """Adapter so _dispatch can succeed an already-created event."""
-
-    __slots__ = ("event",)
-
-    def __init__(self, event):
-        self.event = event
-
-    def succeed(self, value):
-        self.event.succeed(value)
-
-    def fail(self, exc):
-        self.event.fail(exc)
-
-
-class _DeferredWaiter(_ImmediateWaiter):
-    pass
 
 
 class DelayingQueue(WorkQueue):

@@ -69,11 +69,8 @@ class SyncerLatency:
     watchdog_max_backoff: float = 15.0
     watchdog_stable_after: float = 30.0    # uptime that resets the backoff
     # --- Hot-path optimizations (DESIGN.md §9) ---------------------------
-    # Semantics-preserving, so on by default: scans/lookups use the cache's
-    # secondary indexes instead of O(n) select()/items() filters.
-    use_cache_indexes: bool = True
-    # Charged per candidate object a scan/lookup filters, so index on/off
-    # is observable in simulated time, not just in lookup counters.
+    # Charged per candidate object a scan examines (scans read the cache's
+    # by-tenant index), so scan work shows in simulated time.
     scan_filter_per_object: float = 0.00002
     # Sharded dispatch: tenants hash to one of N worker shards, each with
     # its own dequeue critical section.  1 == the paper's serialized

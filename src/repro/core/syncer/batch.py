@@ -55,42 +55,34 @@ class DownwardBatchWriter:
         return current() if current is not None else None
 
     def create(self, obj, namespace=None):
-        if not self.enabled:
-            fence = self._fence()
-            if fence is None:
-                return (yield from self.client.create(obj,
-                                                      namespace=namespace))
-            return (yield from self._fenced_single(
-                ("create", obj, namespace), fence))
-        return (yield from self._submit(("create", obj, namespace)))
+        return (yield from self._write(
+            ("create", obj, namespace),
+            lambda: self.client.create(obj, namespace=namespace)))
 
     def update(self, obj):
-        if not self.enabled:
-            fence = self._fence()
-            if fence is None:
-                return (yield from self.client.update(obj))
-            return (yield from self._fenced_single(("update", obj, None),
-                                                   fence))
-        return (yield from self._submit(("update", obj, None)))
+        return (yield from self._write(
+            ("update", obj, None), lambda: self.client.update(obj)))
 
     def update_status(self, obj):
-        if not self.enabled:
-            fence = self._fence()
-            if fence is None:
-                return (yield from self.client.update_status(obj))
-            return (yield from self._fenced_single(("update", obj, "status"),
-                                                   fence))
-        return (yield from self._submit(("update", obj, "status")))
+        return (yield from self._write(
+            ("update", obj, "status"),
+            lambda: self.client.update_status(obj)))
 
     def delete(self, plural, name, namespace=None):
-        if not self.enabled:
-            fence = self._fence()
-            if fence is None:
-                return (yield from self.client.delete(plural, name,
-                                                      namespace=namespace))
-            return (yield from self._fenced_single(
-                ("delete", plural, name, namespace), fence))
-        return (yield from self._submit(("delete", plural, name, namespace)))
+        return (yield from self._write(
+            ("delete", plural, name, namespace),
+            lambda: self.client.delete(plural, name, namespace=namespace)))
+
+    def _write(self, op, direct):
+        """Route one write: into a batch when batching is on, else the
+        plain client call ``direct()``, or a fenced 1-op transaction when
+        the owner is an HA replica."""
+        if self.enabled:
+            return (yield from self._submit(op))
+        fence = self._fence()
+        if fence is None:
+            return (yield from direct())
+        return (yield from self._fenced_single(op, fence))
 
     def _fenced_single(self, op, fence):
         """Pass-through write as a 1-op fenced transaction: same CAS and

@@ -65,19 +65,14 @@ class PeriodicScanner:
     def _super_candidates(self, super_cache, tenant, cfg):
         """Coroutine: this tenant's super objects, charging filter cost.
 
-        With indexes on, the by-tenant index returns exactly the tenant's
-        objects; with them off, every cached object is a candidate the
-        scan must examine and discard.  Either way each candidate costs
-        ``scan_filter_per_object``, so the index's win is visible in
-        simulated time, not just in lookup counters.
+        The by-tenant index returns exactly the tenant's objects; each
+        one still costs ``scan_filter_per_object`` to examine, so a scan
+        is charged in simulated time for what it touches.
         """
-        if cfg.use_cache_indexes:
-            # Idempotent: covers lazily-created caches (e.g. synced CRDs)
-            # that were not wired in _setup_super_informers.
-            super_cache.add_index(INDEX_TENANT, tenant_index)
-            candidates = super_cache.by_index(INDEX_TENANT, tenant)
-        else:
-            candidates = super_cache.items()
+        # Idempotent: covers lazily-created caches (e.g. synced CRDs)
+        # that were not wired in _setup_super_informers.
+        super_cache.add_index(INDEX_TENANT, tenant_index)
+        candidates = super_cache.by_index(INDEX_TENANT, tenant)
         filter_cost = cfg.scan_filter_per_object * len(candidates)
         if filter_cost:
             yield self.sim.timeout(filter_cost)

@@ -24,7 +24,6 @@ from repro.clientgo import (
     FairWorkQueue,
     InformerFactory,
     JitteredBackoff,
-    ShardedFairWorkQueue,
     ShutDown,
 )
 from repro.config import DEFAULT_CONFIG
@@ -121,32 +120,20 @@ class Syncer:
 
         # Dispatch sharding (DESIGN.md §9): with shards == 1 this is the
         # paper's single serialized queue + lock; with N shards, tenants
-        # hash to independent queues, each with its own critical section.
+        # hash to independent dispatch rings, each with its own lock.
         self.dispatch_shards = max(1, cfg.dispatch_shards)
         from repro.simkernel.resources import Lock
 
-        if self.dispatch_shards > 1:
-            self.downward = ShardedFairWorkQueue(
-                sim, name=f"{name}-downward", shards=self.dispatch_shards,
-                fair=fair_queuing)
-            self.upward = ShardedFairWorkQueue(
-                sim, name=f"{name}-upward", shards=self.dispatch_shards,
-                fair=fair_queuing)
-            self.dws_locks = [Lock(sim, name=f"{name}-dws-lock-{i}")
-                              for i in range(self.dispatch_shards)]
-            self.uws_locks = [Lock(sim, name=f"{name}-uws-lock-{i}")
-                              for i in range(self.dispatch_shards)]
-        else:
-            self.downward = FairWorkQueue(sim, name=f"{name}-downward",
-                                          fair=fair_queuing)
-            self.upward = FairWorkQueue(sim, name=f"{name}-upward",
-                                        fair=fair_queuing)
-            self.dws_locks = [Lock(sim, name=f"{name}-dws-lock")]
-            self.uws_locks = [Lock(sim, name=f"{name}-uws-lock")]
-        # Shard 0's lock keeps the historical attribute names alive for
-        # tests and reports.
-        self.dws_lock = self.dws_locks[0]
-        self.uws_lock = self.uws_locks[0]
+        self.downward = FairWorkQueue(
+            sim, name=f"{name}-downward", fair=fair_queuing,
+            shards=self.dispatch_shards)
+        self.upward = FairWorkQueue(
+            sim, name=f"{name}-upward", fair=fair_queuing,
+            shards=self.dispatch_shards)
+        self.dws_locks = [Lock(sim, name=f"{name}-dws-lock-{i}")
+                          for i in range(self.dispatch_shards)]
+        self.uws_locks = [Lock(sim, name=f"{name}-uws-lock-{i}")
+                          for i in range(self.dispatch_shards)]
         self.super_writer = DownwardBatchWriter(self)
 
         self.tenants = {}
@@ -537,20 +524,15 @@ class Syncer:
         self._started = True
         self._stopped = False
         self.super_writer.start()
-        for index in range(self.dws_workers):
-            label = f"{self.name}-dws-{index}"
-            shard = index % self.dispatch_shards
-            self._processes.append(self.spawn(
-                self._supervise(label,
-                                lambda s=shard: self._dws_worker(s)),
-                name=f"{label}-watchdog"))
-        for index in range(self.uws_workers):
-            label = f"{self.name}-uws-{index}"
-            shard = index % self.dispatch_shards
-            self._processes.append(self.spawn(
-                self._supervise(label,
-                                lambda s=shard: self._uws_worker(s)),
-                name=f"{label}-watchdog"))
+        for prefix, count, downward in (("dws", self.dws_workers, True),
+                                        ("uws", self.uws_workers, False)):
+            for index in range(count):
+                label = f"{self.name}-{prefix}-{index}"
+                shard = index % self.dispatch_shards
+                self._processes.append(self.spawn(
+                    self._supervise(label, lambda d=downward, s=shard:
+                                    self._worker(d, s)),
+                    name=f"{label}-watchdog"))
         for tenant in self.tenants:
             self.scanner.start_tenant(tenant)
         self.vnodes.start()
@@ -682,18 +664,22 @@ class Syncer:
             except Interrupt:
                 return
 
-    def _queue_get(self, queue, shard):
-        if self.dispatch_shards > 1:
-            return queue.get(shard)
-        return queue.get()
-
-    def _dws_worker(self, shard=0):
+    def _worker(self, downward, shard):
+        """One DWS (``downward``) or UWS worker serving one dispatch ring."""
         cfg = self.config.syncer
-        dws_lock = self.dws_locks[shard % len(self.dws_locks)]
+        if downward:
+            queue, direction, span = self.downward, "downward", "syncer.dws"
+            lock = self.dws_locks[shard]
+            dequeue_cs, process = cfg.dws_dequeue_cs, cfg.dws_process
+            items, api_error = self._items_dws, "dws_api_error"
+        else:
+            queue, direction, span = self.upward, "upward", "syncer.uws"
+            lock = self.uws_locks[shard]
+            dequeue_cs, process = cfg.uws_dequeue_cs, cfg.uws_process
+            items, api_error = self._items_uws, "uws_api_error"
         while not self._stopped:
             try:
-                tenant, item, _enqueued_at = yield self._queue_get(
-                    self.downward, shard)
+                tenant, item, _enqueued_at = yield queue.get(shard)
             except (ShutDown, Interrupt):
                 return
             plural, key = item
@@ -701,98 +687,65 @@ class Syncer:
                 # Circuit open: fail fast so this shared worker stays
                 # available to healthy tenants; the item is parked and
                 # re-enqueued when the tenant's probe succeeds.
-                self.health.park(tenant, "downward", item)
-                self.downward.done(tenant, item)
+                self.health.park(tenant, direction, item)
+                queue.done(tenant, item)
                 continue
             try:
-                with self._telemetry.span("syncer.dws", tenant=tenant,
+                with self._telemetry.span(span, tenant=tenant,
                                           resource=plural):
                     # Serialized dequeue critical section (lock contention
                     # is the syncer's throughput limiter under burst); one
                     # lock per dispatch shard.
-                    yield dws_lock.acquire()
+                    yield lock.acquire()
                     try:
-                        yield self.sim.timeout(cfg.dws_dequeue_cs)  # repro: allow[C001] modeled dequeue critical-section cost; contention is the measured effect
+                        yield self.sim.timeout(dequeue_cs)  # repro: allow[C001] modeled dequeue critical-section cost; contention is the measured effect
                     finally:
-                        dws_lock.release()
-                    self.cpu.charge(cfg.dws_dequeue_cs)
+                        lock.release()
+                    self.cpu.charge(dequeue_cs)
                     self.cpu.charge(cfg.per_item_cpu_overhead)
                     if plural == "pods":
-                        self.trace_store.mark(tenant, key, "dws_dequeue",
-                                              self.sim.now)
-                    yield self.sim.timeout(cfg.dws_process)
-                    self.cpu.charge(cfg.dws_process)
-                    reconciler = (self.crd_sync.reconciler_for(tenant,
-                                                               plural)
-                                  or self.downward_reconcilers.get(plural))
-                    if reconciler is not None:
-                        yield from reconciler.sync_down(tenant, key)
+                        self._mark_dequeued(downward, tenant, key)
+                    yield self.sim.timeout(process)
+                    self.cpu.charge(process)
+                    if downward:
+                        reconciler = (
+                            self.crd_sync.reconciler_for(tenant, plural)
+                            or self.downward_reconcilers.get(plural))
+                        if reconciler is not None:
+                            yield from reconciler.sync_down(tenant, key)
+                    else:
+                        reconciler = self.upward_reconcilers.get(plural)
+                        if reconciler is not None:
+                            yield from reconciler.sync_up(tenant, key)
                     self.health.record_success(tenant)
-                    self._items_dws.inc()
+                    items.inc()
             except Interrupt:
                 return
             except ApiError as exc:
-                self.metrics_inc("dws_api_error")
+                self.metrics_inc(api_error)
                 if self.health.record_failure(tenant, exc):
-                    self.health.park(tenant, "downward", item)
+                    self.health.park(tenant, direction, item)
                 else:
-                    self.downward.add(tenant, item)
+                    queue.add(tenant, item)
             finally:
-                self.downward.done(tenant, item)
+                queue.done(tenant, item)
 
-    def _uws_worker(self, shard=0):
-        cfg = self.config.syncer
-        uws_lock = self.uws_locks[shard % len(self.uws_locks)]
-        while not self._stopped:
-            try:
-                tenant, item, _enqueued_at = yield self._queue_get(
-                    self.upward, shard)
-            except (ShutDown, Interrupt):
-                return
-            plural, key = item
-            if not self.health.allow(tenant):
-                self.health.park(tenant, "upward", item)
-                self.upward.done(tenant, item)
-                continue
-            try:
-                with self._telemetry.span("syncer.uws", tenant=tenant,
-                                          resource=plural):
-                    yield uws_lock.acquire()
-                    try:
-                        yield self.sim.timeout(cfg.uws_dequeue_cs)  # repro: allow[C001] modeled dequeue critical-section cost; contention is the measured effect
-                    finally:
-                        uws_lock.release()
-                    self.cpu.charge(cfg.uws_dequeue_cs)
-                    self.cpu.charge(cfg.per_item_cpu_overhead)
-                    if plural == "pods":
-                        super_pod = self.super_informer("pods").cache.get(
-                            key)
-                        if super_pod is not None:
-                            origin = tenant_origin(super_pod)
-                            if (origin is not None
-                                    and super_pod.status.is_ready):
-                                t_key = (f"{origin[1]}/{origin[2]}"
-                                         if origin[1] else origin[2])
-                                self.trace_store.mark(tenant, t_key,
-                                                      "uws_dequeue",
-                                                      self.sim.now)
-                    yield self.sim.timeout(cfg.uws_process)
-                    self.cpu.charge(cfg.uws_process)
-                    reconciler = self.upward_reconcilers.get(plural)
-                    if reconciler is not None:
-                        yield from reconciler.sync_up(tenant, key)
-                    self.health.record_success(tenant)
-                    self._items_uws.inc()
-            except Interrupt:
-                return
-            except ApiError as exc:
-                self.metrics_inc("uws_api_error")
-                if self.health.record_failure(tenant, exc):
-                    self.health.park(tenant, "upward", item)
-                else:
-                    self.upward.add(tenant, item)
-            finally:
-                self.upward.done(tenant, item)
+    def _mark_dequeued(self, downward, tenant, key):
+        """Stamp a Pod's DWS/UWS dequeue time (the Fig. 8 queue phases).
+
+        The upward key is the super Pod; its trace is keyed by the tenant
+        Pod, and only a Ready Pod's upward dequeue counts.
+        """
+        if downward:
+            self.trace_store.mark(tenant, key, "dws_dequeue", self.sim.now)
+            return
+        super_pod = self.super_informer("pods").cache.get(key)
+        if super_pod is None:
+            return
+        origin = tenant_origin(super_pod)
+        if origin is not None and super_pod.status.is_ready:
+            t_key = f"{origin[1]}/{origin[2]}" if origin[1] else origin[2]
+            self.trace_store.mark(tenant, t_key, "uws_dequeue", self.sim.now)
 
     def _memory_sampler(self):
         while not self._stopped:

@@ -81,11 +81,8 @@ class VNodeManager:
         if registration is None:
             return
         super_cache = self.syncer.super_informer("pods").cache
-        if self.syncer.config.syncer.use_cache_indexes:
-            super_cache.add_index(INDEX_TENANT, tenant_index)
-            candidates = super_cache.by_index(INDEX_TENANT, tenant)
-        else:
-            candidates = super_cache.items()
+        super_cache.add_index(INDEX_TENANT, tenant_index)
+        candidates = super_cache.by_index(INDEX_TENANT, tenant)
         bindings = {}
         for pod in candidates:
             if not is_managed(pod) or not self.syncer.owns(tenant, pod):
@@ -147,13 +144,8 @@ class VNodeManager:
             return 0
         expected = set(self.vnodes_for(tenant))
         cache = self.syncer.tenant_informer(tenant, "nodes").cache
-        if self.syncer.config.syncer.use_cache_indexes:
-            vnodes = cache.by_label(VNODE_LABEL, "true")
-        else:
-            vnodes = [node for node in cache.items()
-                      if (node.metadata.labels or {}).get(VNODE_LABEL)
-                      == "true"]
-        present = {node.metadata.name for node in vnodes}
+        present = {node.metadata.name
+                   for node in cache.by_label(VNODE_LABEL, "true")}
         fixed = 0
         for name in sorted(present - expected):
             fixed += 1

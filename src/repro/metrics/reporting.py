@@ -294,10 +294,7 @@ def format_hotpath(syncer, title="Syncer hot path"):
     downward = stats["downward"]
     rows = [
         ["dispatch shards", stats["dispatch_shards"]],
-        ["active shards", downward.get("active_shards", 1)],
-        ["shard rebalances", downward.get("rebalances", 0)],
-        ["dws depth by shard", downward.get("depth_by_shard",
-                                            [downward["depth"]])],
+        ["dws depth by shard", downward["depth_by_shard"]],
         ["dws lock contentions", stats["dws_lock_contentions"]],
         ["uws lock contentions", stats["uws_lock_contentions"]],
     ]

@@ -183,12 +183,11 @@ def scenario_config(control):
 
     config = DEFAULT_CONFIG
     if control.optimized:
-        # The §9 hot-path optimizations (indexes, sharded dispatch,
-        # batched downward writes) — the configuration every corpus
-        # scenario runs.
+        # The §9 hot-path optimizations (sharded dispatch, batched
+        # downward writes) — the configuration every corpus scenario
+        # runs.
         config = config.with_overrides(syncer=replace(
-            config.syncer, use_cache_indexes=True, dispatch_shards=2,
-            downward_batch_max=8))
+            config.syncer, dispatch_shards=2, downward_batch_max=8))
     overrides = {}
     if control.apf:
         overrides["apf"] = replace(config.apf, enabled=True)

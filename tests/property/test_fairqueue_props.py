@@ -9,12 +9,7 @@ long any tenant's item can wait relative to others.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clientgo import (
-    FairWorkQueue,
-    ShardedFairWorkQueue,
-    WorkQueue,
-    shard_hash,
-)
+from repro.clientgo import FairWorkQueue, WorkQueue, shard_hash
 from repro.simkernel import Simulation
 
 tenant_names = st.sampled_from(["t0", "t1", "t2", "t3"])
@@ -119,30 +114,26 @@ def test_depth_never_exceeds_unique_items(adds):
 
 
 # ----------------------------------------------------------------------
-# ShardedFairWorkQueue (DESIGN.md §9): the sharded dispatch path must
-# keep every single-queue invariant — exactly-once, dedup, WRR bounds —
-# while routing each tenant to exactly one shard and surviving a shard
-# rebalance without losing or duplicating items.
+# Sharded dispatch (DESIGN.md §9): FairWorkQueue(shards=N) must keep
+# every single-queue invariant — exactly-once, dedup, WRR bounds — while
+# routing each tenant to exactly one dispatch ring.
 # ----------------------------------------------------------------------
 
 shard_counts = st.integers(min_value=1, max_value=4)
 
 
-def drain_sharded(queue, sim, record_shards=None):
-    """Drain every shard with one worker each; returns (tenant, key)s."""
-    taken = []
+def drain_sharded(queue, sim):
+    """Drain every ring with one worker each; returns the (tenant, key)
+    dispatch sequence of each ring, indexed by shard."""
+    taken = [[] for _ in queue.stats()["depth_by_shard"]]
 
     def worker(shard):
-        subqueue = queue.shards[shard]
-        while len(subqueue):
+        while queue.stats()["depth_by_shard"][shard]:
             tenant, key, _t = yield queue.get(shard)
-            taken.append((tenant, key))
-            if record_shards is not None:
-                record_shards.setdefault(tenant, set()).add(shard)
+            taken[shard].append((tenant, key))
             queue.done(tenant, key)
 
-    processes = [sim.process(worker(shard))
-                 for shard in range(queue.num_shards)]
+    processes = [sim.process(worker(shard)) for shard in range(len(taken))]
     for process in processes:
         sim.run(until=process)
     return taken
@@ -152,10 +143,10 @@ def drain_sharded(queue, sim, record_shards=None):
 @settings(max_examples=150)
 def test_sharded_every_unique_item_dispatched_exactly_once(adds, shards):
     sim = Simulation()
-    queue = ShardedFairWorkQueue(sim, shards=shards)
+    queue = FairWorkQueue(sim, shards=shards)
     for tenant, key in adds:
         queue.add(tenant, key)
-    taken = drain_sharded(queue, sim)
+    taken = [item for ring in drain_sharded(queue, sim) for item in ring]
     assert sorted(set(taken)) == sorted(set(adds))
     assert len(taken) == len(set(taken))
 
@@ -164,34 +155,17 @@ def test_sharded_every_unique_item_dispatched_exactly_once(adds, shards):
 @settings(max_examples=100)
 def test_sharded_tenant_served_by_exactly_one_shard(adds, shards):
     sim = Simulation()
-    queue = ShardedFairWorkQueue(sim, shards=shards)
+    queue = FairWorkQueue(sim, shards=shards)
     for tenant, key in adds:
         queue.add(tenant, key)
     served_by = {}
-    drain_sharded(queue, sim, record_shards=served_by)
+    for shard, ring in enumerate(drain_sharded(queue, sim)):
+        for tenant, _key in ring:
+            served_by.setdefault(tenant, set()).add(shard)
     for tenant, shard_set in served_by.items():
         assert len(shard_set) == 1
         (shard,) = shard_set
         assert shard == shard_hash(tenant) % shards
-
-
-@given(add_sequences, shard_counts, st.integers(min_value=0, max_value=3))
-@settings(max_examples=100)
-def test_sharded_rebalance_preserves_items(adds, shards, dead):
-    """Deactivating a shard re-routes its backlog: nothing lost, nothing
-    duplicated, and the dead shard ends up empty."""
-    sim = Simulation()
-    queue = ShardedFairWorkQueue(sim, shards=shards)
-    for tenant, key in adds:
-        queue.add(tenant, key)
-    dead %= shards
-    queue.deactivate_shard(dead)
-    if shards > 1:
-        assert len(queue.shards[dead]) == 0
-        assert dead not in queue.active_shards
-    taken = drain_sharded(queue, sim)
-    assert sorted(set(taken)) == sorted(set(adds))
-    assert len(taken) == len(set(taken))
 
 
 @given(st.integers(min_value=1, max_value=30),
@@ -206,12 +180,12 @@ def test_sharded_wrr_bound_within_a_shard(greedy_count, regular_count):
     shard0 = [name for name in names if shard_hash(name) % 2 == 0]
     greedy, regular = shard0[0], shard0[1]
     sim = Simulation()
-    queue = ShardedFairWorkQueue(sim, shards=2)
+    queue = FairWorkQueue(sim, shards=2)
     for i in range(greedy_count):
         queue.add(greedy, f"g{i}")
     for i in range(regular_count):
         queue.add(regular, f"r{i}")
-    taken = drain_sharded(queue, sim)
+    taken = drain_sharded(queue, sim)[0]
     greedy_streak = 0
     regular_left = regular_count
     for tenant, _key in taken:
@@ -224,76 +198,21 @@ def test_sharded_wrr_bound_within_a_shard(greedy_count, regular_count):
             regular_left -= 1
 
 
-@given(add_sequences)
+@given(add_sequences, shard_counts, st.booleans())
 @settings(max_examples=100)
-def test_single_shard_matches_unsharded_dispatch_order(adds):
-    """shards=1 (the paper-faithful default) is byte-for-byte the
-    unsharded queue: identical dispatch sequence, not just the same set."""
-    sim_a, sim_b = Simulation(), Simulation()
-    flat = FairWorkQueue(sim_a)
-    sharded = ShardedFairWorkQueue(sim_b, shards=1)
-    for tenant, key in adds:
-        flat.add(tenant, key)
-        sharded.add(tenant, key)
-    assert drain_fair(flat, sim_a) == drain_sharded(sharded, sim_b)
-
-
-def test_rebalance_after_chaos_worker_kill():
-    """Reuses the repro.chaos WorkerCrash fault: a shard's worker is
-    killed mid-drain, the shard is deactivated (rebalance), and the
-    surviving shard's worker finishes every item exactly once."""
-    import random
-    from types import SimpleNamespace
-
-    from repro.chaos.faults import WorkerCrash
-
+def test_each_ring_dispatches_like_an_unsharded_queue(adds, shards, fair):
+    """Queue-wide dedup state and weights do not couple the rings: each
+    ring's dispatch sequence equals that of a shards=1 queue fed only
+    the ring's tenants, in WRR and in FIFO (fair=False) mode."""
     sim = Simulation()
-    queue = ShardedFairWorkQueue(sim, shards=2)
-    tenants = [f"tenant-{i}" for i in range(8)]
-    added = set()
-    for tenant in tenants:
-        for i in range(10):
-            queue.add(tenant, f"k{i}")
-            added.add((tenant, f"k{i}"))
-    per_shard = {shard: [t for t in tenants
-                         if queue.shard_of(t) == shard] for shard in (0, 1)}
-    assert per_shard[0] and per_shard[1], "need tenants on both shards"
-
-    taken = []
-    worker_processes = {}
-
-    def worker(shard):
-        from repro.simkernel.errors import Interrupt
-        try:
-            while True:
-                tenant, key, _t = yield queue.get(shard)
-                yield sim.timeout(0.01)  # hold the item so the kill lands
-                taken.append((tenant, key))
-                queue.done(tenant, key)
-        except Interrupt:
-            return  # chaos kill: die like a real syncer worker
-
-    for shard in (0, 1):
-        worker_processes[f"dws-{shard}"] = sim.process(worker(shard))
-
-    fake_syncer = SimpleNamespace(name="sharded-syncer",
-                                  worker_processes=worker_processes)
-    crash = WorkerCrash(fake_syncer, count=1, labels=["dws-1"])
-    crash.bind(sim, random.Random(7))
-
-    sim.run(until=0.25)  # both workers mid-drain
-    crash.inject()
-    assert crash.workers_killed == 1
-    queue.deactivate_shard(1)  # operator rebalance: shard 1 has no worker
-    assert queue.active_shards == [0]
-    assert queue.stats()["rebalances"] == 1
-
-    while len(queue):
-        sim.run(until=sim.now + 1.0)
-    dispatched = set(taken)
-    # At most the one item in flight on the killed worker may be missing
-    # (its done() never ran; the periodic scanner remediates that case) —
-    # every *pending* item survived the rebalance.
-    missing = added - dispatched
-    assert len(missing) <= 1
-    assert len(taken) == len(dispatched)  # exactly-once for all dispatched
+    queue = FairWorkQueue(sim, shards=shards, fair=fair)
+    for tenant, key in adds:
+        queue.add(tenant, key)
+    rings = drain_sharded(queue, sim)
+    for shard, ring in enumerate(rings):
+        alone_sim = Simulation()
+        alone = FairWorkQueue(alone_sim, fair=fair)
+        for tenant, key in adds:
+            if shard_hash(tenant) % shards == shard:
+                alone.add(tenant, key)
+        assert drain_fair(alone, alone_sim) == ring

@@ -1,6 +1,6 @@
 """Shard-routing determinism: crc32 routing is bytes-deterministic.
 
-The sharded fair queue routes tenants with ``crc32(tenant.encode())``
+The fair queue's dispatch rings route tenants with ``crc32(tenant.encode())``
 — a pure function of the tenant name's UTF-8 bytes, identical in every
 Python process.  The golden values below were computed once and
 committed: if ``shard_hash`` ever picks up process-dependent input
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.clientgo import ShardedFairWorkQueue, shard_hash
+from repro.clientgo import FairWorkQueue, shard_hash
 from repro.simkernel import Simulation
 
 # (tenant, crc32, shard at shards=2, shard at shards=4) — committed
@@ -40,8 +40,11 @@ class TestGoldenRouting:
     @pytest.mark.parametrize("tenant,crc,shard2,shard4", GOLDEN)
     def test_queue_routes_by_pinned_hash(self, tenant, crc, shard2,
                                          shard4):
-        queue = ShardedFairWorkQueue(Simulation(), shards=4)
-        assert queue.shard_of(tenant) == shard4
+        queue = FairWorkQueue(Simulation(), shards=4)
+        queue.add(tenant, "key")
+        depths = [0, 0, 0, 0]
+        depths[shard4] = 1
+        assert queue.stats()["depth_by_shard"] == depths
 
 
 class TestHashProperties:
@@ -72,11 +75,14 @@ class TestAssignmentStability:
     def test_two_fresh_queues_agree(self, tenants):
         """Same tenant stream → same shard map in a rebuilt queue,
         regardless of first-use order (restart simulation)."""
-        forward = ShardedFairWorkQueue(Simulation(), shards=4)
-        backward = ShardedFairWorkQueue(Simulation(), shards=4)
+        forward = FairWorkQueue(Simulation(), shards=4)
+        backward = FairWorkQueue(Simulation(), shards=4)
         for tenant in tenants:
-            forward.shard_of(tenant)
+            forward.register_tenant(tenant)
         for tenant in reversed(tenants):
-            backward.shard_of(tenant)
+            backward.register_tenant(tenant)
         for tenant in set(tenants):
-            assert forward.shard_of(tenant) == backward.shard_of(tenant)
+            forward.add(tenant, "key")
+            backward.add(tenant, "key")
+            assert (forward.stats()["depth_by_shard"]
+                    == backward.stats()["depth_by_shard"])

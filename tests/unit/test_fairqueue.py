@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clientgo import FairWorkQueue, ShardedFairWorkQueue, ShutDown
+from repro.clientgo import FairWorkQueue, ShutDown
 from repro.simkernel import Simulation
 
 
@@ -155,6 +155,36 @@ class TestLifecycle:
         assert len(queue) == 1
         assert drain_all(sim, queue, 1) == [("B", "b0")]
 
+    def test_unfair_remove_tenant_discards_pending(self, sim):
+        """Regression: in fair=False mode the shared FIFO kept a removed
+        tenant's items, so they were still dispatched."""
+        queue = FairWorkQueue(sim, fair=False)
+        queue.add("A", "a0")
+        queue.add("A", "a1")
+        queue.add("B", "b0")
+        queue.remove_tenant("A")
+        assert queue.depth("A") == 0
+        assert len(queue) == 1
+        assert drain_all(sim, queue, 1) == [("B", "b0")]
+
+    def test_unfair_late_done_does_not_resurrect_tenant(self, sim):
+        """Regression: in fair=False mode a done() for an item re-added
+        while processing re-queued it even after remove_tenant()."""
+        queue = FairWorkQueue(sim, fair=False)
+        queue.add("A", "a0")
+        taken = []
+
+        def worker():
+            tenant, key, _enqueued = yield queue.get()
+            taken.append((tenant, key))
+
+        sim.run(until=sim.process(worker()))
+        queue.add("A", "a0")  # dirty while processing
+        queue.remove_tenant("A")
+        queue.done("A", "a0")
+        assert "A" not in queue.tenants
+        assert len(queue) == 0
+
     def test_remove_before_cursor_preserves_rotation(self, sim):
         """Regression: removing a tenant that sits *before* the WRR
         cursor must pull the cursor back one slot, or the tenant whose
@@ -232,13 +262,12 @@ class TestWeightValidation:
         assert queue._weights["T"] == 4
 
     def test_sharded_zero_weight_rejected(self, sim):
-        queue = ShardedFairWorkQueue(sim, shards=2)
+        queue = FairWorkQueue(sim, shards=2)
         with pytest.raises(ValueError, match="must be positive"):
             queue.register_tenant("T", weight=0)
         assert "T" not in queue.tenants
 
     def test_sharded_explicit_weight_propagates(self, sim):
-        queue = ShardedFairWorkQueue(sim, shards=2, default_weight=4)
+        queue = FairWorkQueue(sim, shards=2, default_weight=4)
         queue.register_tenant("T", weight=2)
-        shard = queue.shards[queue.shard_of("T")]
-        assert shard._weights["T"] == 2
+        assert queue._weights["T"] == 2

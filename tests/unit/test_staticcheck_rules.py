@@ -64,6 +64,22 @@ class TestC001WaitWhileHolding:
                     yield self.sim.timeout(1.0)
         """) == []
 
+    def test_tuple_bound_lock_alias_flagged(self, tmp_path):
+        assert codes(tmp_path, """
+            from repro.simkernel import Lock
+
+            class W:
+                def __init__(self, sim):
+                    self.sim = sim
+                    self.locks = [Lock(sim) for _ in range(2)]
+
+                def work(self, i):
+                    name, lock = ("x", self.locks[i])
+                    yield lock.acquire()
+                    yield self.sim.timeout(1.0)
+                    lock.release()
+        """) == ["C001"]
+
 
 class TestC002LockOrder:
     def test_deadlock_cycle_fixture_flagged(self):
